@@ -28,6 +28,19 @@
 //! with an iteration-by-iteration simulation up to one iteration of
 //! rounding.
 //!
+//! The sweep-counting attacker's iterations are ~150 µs LLC sweeps, so
+//! its replay does step sweep by sweep (~10⁵ per 15 s trace), but it
+//! still reads the timer only twice per period: the period's exit is
+//! computed once, when the period starts, with `earliest_at_or_above`,
+//! and the period ends at the first sweep that finishes at or after it.
+//!
+//! Replay query times only ever increase, so both replays walk the
+//! timeline forward once with a [`bf_sim::TimelineWalker`] (and the
+//! sweep cost reads the LLC load series through a
+//! [`bf_stats::SeriesCursor`]) instead of binary-searching the gaps and
+//! the frequency curve per query. The walkers answer exactly as the
+//! random-access queries do, which are themselves one-shot walkers.
+//!
 //! # Example
 //!
 //! ```

@@ -2,7 +2,8 @@
 //!
 //! Implements the counting loop of Fig. 2 exactly, but in closed form per
 //! period instead of per iteration (see the crate docs for the argument
-//! that the two are equivalent).
+//! that the two are equivalent). Both replays walk the timeline forward
+//! with [`bf_sim::TimelineWalker`]s instead of searching it per query.
 
 use crate::trace::Trace;
 use bf_sim::CoreTimeline;
@@ -93,7 +94,11 @@ pub fn replay_counting_loop(
     let mut records = Vec::with_capacity(slots);
     let cost = iteration_cost.as_nanos() as f64;
 
-    let mut now = timeline.next_runnable(Nanos::ZERO);
+    // Period boundaries and the work integrals each move forward through
+    // the timeline; a walker per query stream keeps both forward-only.
+    let mut boundary = timeline.walker();
+    let mut busy = timeline.walker();
+    let mut now = boundary.next_runnable(Nanos::ZERO);
     let mut carry = 0.0;
     while now < duration {
         let start_observed = timer.observe(now);
@@ -101,11 +106,11 @@ pub fn replay_counting_loop(
         let exit = timer.earliest_at_or_above(now, target);
         // The attacker only notices the boundary at an iteration end; if
         // the crossing lands inside a gap, user code resumes at gap end.
-        let end_real = timeline.next_runnable(exit).max(now);
+        let end_real = boundary.next_runnable(exit).max(now);
         if end_real >= duration {
             break; // partial final period is discarded, as in the paper
         }
-        let work = timeline.work_between(now, end_real) + carry;
+        let work = busy.work_between(now, end_real) + carry;
         let count = (work / cost).floor();
         carry = work - count * cost;
         let end_observed = timer.observe(end_real);
@@ -123,10 +128,18 @@ pub fn replay_counting_loop(
 /// sweep-counting attacker: each "iteration" is a full LLC sweep whose
 /// duration depends on victim cache activity). Iterations are stepped
 /// individually — they are ~150 µs each, so a 15 s trace is only ~10⁵
-/// steps.
+/// steps — by one forward walk over the timeline.
 ///
-/// `sweep_cost` receives the real time at which the sweep begins and
-/// returns its cost in reference-nanoseconds.
+/// Each period's exit is computed once, when the period starts, as the
+/// earliest real time at which the timer reaches the period target
+/// ([`Timer::earliest_at_or_above`]). This is exact by the [`Timer`]
+/// contract: readings are monotonic and every reading before the exit is
+/// below the target, so every reading from the exit on reaches it. The period therefore ends at the first sweep that
+/// finishes at or after the exit, just as if the timer were read after
+/// every sweep.
+///
+/// `sweep_cost` receives the real time at which the sweep begins, at
+/// non-decreasing times, and returns its cost in reference-nanoseconds.
 ///
 /// # Panics
 ///
@@ -143,21 +156,22 @@ pub fn replay_stepped_loop(
     let mut values = vec![0.0; slots];
     let mut records = Vec::with_capacity(slots);
 
-    let mut now = timeline.next_runnable(Nanos::ZERO);
+    let mut walker = timeline.walker();
+    let mut now = walker.next_runnable(Nanos::ZERO);
     'outer: while now < duration {
         let start_real = now;
         let start_observed = timer.observe(now);
-        let target = start_observed + period;
+        let exit = timer.earliest_at_or_above(now, start_observed + period);
         let mut count = 0.0;
         loop {
             let cost = sweep_cost(now).max(1.0);
-            let end = timeline.real_time_after_work(now, cost);
+            let end = walker.real_time_after_work(now, cost);
             if end >= duration {
                 break 'outer;
             }
             count += 1.0;
             now = end;
-            if timer.observe(now) >= target {
+            if now >= exit {
                 break;
             }
         }
@@ -267,6 +281,21 @@ mod tests {
         let (trace, _) = replay_stepped_loop(&tl, &mut timer, Nanos::from_millis(5), |_| 150_000.0);
         for &v in &trace.values()[..19] {
             assert!((33.0..35.0).contains(&v), "v = {v}");
+        }
+    }
+
+    #[test]
+    fn stepped_loop_period_ends_at_the_sweep_reaching_the_boundary() {
+        // 125 µs sweeps divide 5 ms exactly: the 40th sweep of each period
+        // ends on the boundary itself, where the timer first reads the
+        // target, so it closes the period.
+        let tl = idle(100);
+        let mut timer = PreciseTimer::new();
+        let (_, recs) = replay_stepped_loop(&tl, &mut timer, Nanos::from_millis(5), |_| 125_000.0);
+        assert_eq!(recs.len(), 19);
+        for (i, r) in recs.iter().enumerate() {
+            assert_eq!(r.count, 40.0);
+            assert_eq!(r.end_real, Nanos::from_millis(5 * (i as u64 + 1)));
         }
     }
 

@@ -76,7 +76,7 @@ impl SweepCountingAttacker {
         seed: u64,
     ) -> (Trace, Vec<PeriodRecord>) {
         let mut rng = SeedRng::new(seed);
-        let loads = &sim.llc_loads;
+        let mut loads = sim.llc_loads.cursor();
         let lines = self.cache.lines as f64;
         let hit = self.cache.hit_time.as_nanos() as f64;
         let miss = self.cache.miss_penalty.as_nanos() as f64;

@@ -1157,14 +1157,9 @@ impl Machine {
         // (footnote 4): splice them into the attacker core's gap list
         // wherever they do not collide with an existing gap.
         if !turbo_stalls.is_empty() {
-            let gaps = &mut per_core_gaps[attacker];
-            for stall in turbo_stalls.drain(..) {
-                let pos = gaps.partition_point(|g| g.end <= stall.start);
-                let clear_after = gaps.get(pos).is_none_or(|g| g.start >= stall.end);
-                if clear_after {
-                    gaps.insert(pos, stall);
-                }
-            }
+            let gaps = std::mem::replace(&mut per_core_gaps[attacker], workspace::take_gaps());
+            splice_stalls(&gaps, &turbo_stalls, &mut per_core_gaps[attacker]);
+            workspace::give_gaps(gaps);
         }
         workspace::give_gaps(turbo_stalls);
 
@@ -1243,6 +1238,25 @@ impl Machine {
             t += len;
         }
     }
+}
+
+/// Merge `stalls` into `gaps` in one pass, appending to `out` and
+/// dropping every stall that overlaps a gap. Both lists are sorted with
+/// non-decreasing ends, and the stalls are disjoint, so a stall can only
+/// collide with the first gap that ends after the stall starts.
+fn splice_stalls(gaps: &[Gap], stalls: &[Gap], out: &mut Vec<Gap>) {
+    out.reserve(gaps.len() + stalls.len());
+    let mut next = 0;
+    for &stall in stalls {
+        while next < gaps.len() && gaps[next].end <= stall.start {
+            out.push(gaps[next]);
+            next += 1;
+        }
+        if gaps.get(next).is_none_or(|g| g.start >= stall.end) {
+            out.push(stall);
+        }
+    }
+    out.extend_from_slice(&gaps[next..]);
 }
 
 #[cfg(test)]
@@ -1575,6 +1589,38 @@ mod tests {
             gap_total > handler_total,
             "gap {gap_total} handler {handler_total}"
         );
+    }
+
+    #[test]
+    fn splice_stalls_merges_and_drops_collisions() {
+        let gap = |start: u64, end: u64, cause| Gap { start: Nanos(start), end: Nanos(end), cause };
+        let irq = GapCause::Interrupt(InterruptKind::TimerTick);
+        let hw = GapCause::Hardware;
+        let gaps = [gap(10, 20, irq), gap(40, 50, irq), gap(70, 80, irq), gap(100, 110, irq)];
+        // Before the first gap, touching a gap's end, starting inside a
+        // gap, touching a gap's start, with a gap starting inside it, and
+        // after the last gap.
+        let stalls = [
+            gap(0, 5, hw),
+            gap(20, 25, hw),
+            gap(45, 55, hw),
+            gap(65, 70, hw),
+            gap(95, 105, hw),
+            gap(120, 125, hw),
+        ];
+        let mut out = Vec::new();
+        splice_stalls(&gaps, &stalls, &mut out);
+        let want = [
+            gap(0, 5, hw),
+            gap(10, 20, irq),
+            gap(20, 25, hw),
+            gap(40, 50, irq),
+            gap(65, 70, hw),
+            gap(70, 80, irq),
+            gap(100, 110, irq),
+            gap(120, 125, hw),
+        ];
+        assert_eq!(out, want);
     }
 
     #[test]

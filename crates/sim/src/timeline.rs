@@ -9,7 +9,7 @@
 //! log.
 
 use crate::interrupt::InterruptKind;
-use bf_stats::StepSeries;
+use bf_stats::{SeriesCursor, StepSeries};
 use bf_timer::Nanos;
 use serde::{Deserialize, Serialize};
 
@@ -177,19 +177,7 @@ impl CoreTimeline {
     ///
     /// Panics when `a > b`.
     pub fn work_between(&self, a: Nanos, b: Nanos) -> f64 {
-        assert!(a <= b, "work_between needs a <= b");
-        let mut work = self.freq.integrate(a.as_nanos(), b.as_nanos());
-        for g in &self.gaps[self.first_gap_after(a)..] {
-            if g.start >= b {
-                break;
-            }
-            let lo = g.start.max(a);
-            let hi = g.end.min(b);
-            if hi > lo {
-                work -= self.freq.integrate(lo.as_nanos(), hi.as_nanos());
-            }
-        }
-        work.max(0.0)
+        self.walker_at(a).work_between(a, b)
     }
 
     /// The gap containing `t`, if any.
@@ -201,43 +189,29 @@ impl CoreTimeline {
     /// The earliest instant at or after `t` when user code runs (skips
     /// over a containing gap).
     pub fn next_runnable(&self, t: Nanos) -> Nanos {
-        match self.gap_containing(t) {
-            Some(g) => g.end,
-            None => t,
-        }
+        self.walker_at(t).next_runnable(t)
     }
 
     /// The earliest real time ≥ `t` by which `work` reference-ns of user
     /// work has been accomplished. Inverse of [`CoreTimeline::work_between`];
     /// used by attack replays to find when an iteration batch finishes.
     pub fn real_time_after_work(&self, t: Nanos, work: f64) -> Nanos {
-        debug_assert!(work >= 0.0);
-        let mut now = self.next_runnable(t);
-        let mut remaining = work;
-        let mut idx = self.first_gap_after(now);
-        loop {
-            // Busy segment: [now, seg_end)
-            let seg_end = self.gaps.get(idx).map_or(Nanos::MAX, |g| g.start);
-            if seg_end > now {
-                // Work available in this segment; frequency may step inside
-                // it, so walk the frequency change points too.
-                let (t_done, left) = advance_through_freq(&self.freq, now, seg_end, remaining);
-                if left <= 0.0 {
-                    return t_done;
-                }
-                remaining = left;
-            }
-            match self.gaps.get(idx) {
-                Some(g) => {
-                    now = g.end;
-                    idx += 1;
-                }
-                None => {
-                    // No more gaps and still work left: should have been
-                    // consumed by the unbounded segment above.
-                    unreachable!("work not consumed on open-ended busy segment");
-                }
-            }
+        self.walker_at(t).real_time_after_work(t, work)
+    }
+
+    /// A forward walker positioned at time zero. Queries at
+    /// non-decreasing times cost amortized `O(1)` each instead of binary
+    /// searches over the gaps and the frequency curve per query.
+    pub fn walker(&self) -> TimelineWalker<'_> {
+        TimelineWalker { timeline: self, gap: 0, freq: self.freq.cursor() }
+    }
+
+    /// A walker seeded by one binary search per structure to sit at `t`.
+    fn walker_at(&self, t: Nanos) -> TimelineWalker<'_> {
+        TimelineWalker {
+            timeline: self,
+            gap: self.first_gap_after(t),
+            freq: self.freq.cursor_at(t.as_nanos()),
         }
     }
 
@@ -261,29 +235,96 @@ impl CoreTimeline {
     }
 }
 
-/// Advance through `[from, to)` consuming `work` at the stepwise frequency;
-/// returns (finish time, remaining work). Remaining is 0 when the work fit.
-fn advance_through_freq(freq: &StepSeries, from: Nanos, to: Nanos, work: f64) -> (Nanos, f64) {
-    let mut now = from.as_nanos();
-    let end = to.as_nanos();
-    let mut remaining = work;
-    while now < end {
-        let m = freq.value_at(now).max(1e-9);
-        // Next frequency change point after `now`, clamped to `end`.
-        let next = freq
-            .points()
-            .get(freq.points().partition_point(|&(t, _)| t <= now))
-            .map_or(end, |&(t, _)| t.min(end));
-        let span = (next - now) as f64;
-        let capacity = span * m;
-        if capacity >= remaining {
-            let dt = (remaining / m).ceil() as u64;
-            return (Nanos(now + dt), 0.0);
+/// A cursor over a [`CoreTimeline`] that remembers where its last query
+/// landed. Answers are exactly those of the timeline's random-access
+/// methods for any query order; when query times are non-decreasing, as
+/// in an attack replay, the walker only steps forward and a whole replay
+/// costs `O(gaps + frequency points + queries)`.
+#[derive(Debug, Clone)]
+pub struct TimelineWalker<'a> {
+    timeline: &'a CoreTimeline,
+    /// Index of the first gap whose end is after the last query time.
+    gap: usize,
+    freq: SeriesCursor<'a>,
+}
+
+impl TimelineWalker<'_> {
+    /// Move to time `t`: afterwards `gap` is the index of the first gap
+    /// whose end is after `t`.
+    fn seek(&mut self, t: Nanos) {
+        let gaps = &self.timeline.gaps;
+        while self.gap < gaps.len() && gaps[self.gap].end <= t {
+            self.gap += 1;
         }
-        remaining -= capacity;
-        now = next;
+        while self.gap > 0 && gaps[self.gap - 1].end > t {
+            self.gap -= 1;
+        }
     }
-    (Nanos(now), remaining)
+
+    /// See [`CoreTimeline::next_runnable`].
+    pub fn next_runnable(&mut self, t: Nanos) -> Nanos {
+        self.seek(t);
+        match self.timeline.gaps.get(self.gap) {
+            Some(g) if g.start <= t => g.end,
+            _ => t,
+        }
+    }
+
+    /// See [`CoreTimeline::work_between`]: the frequency integral over
+    /// `[a, b)` minus each overlapping gap's integral, in gap order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `a > b`.
+    pub fn work_between(&mut self, a: Nanos, b: Nanos) -> f64 {
+        assert!(a <= b, "work_between needs a <= b");
+        self.seek(a);
+        let mut work = self.freq.integrate(a.as_nanos(), b.as_nanos());
+        for g in &self.timeline.gaps[self.gap..] {
+            if g.start >= b {
+                break;
+            }
+            let lo = g.start.max(a);
+            let hi = g.end.min(b);
+            if hi > lo {
+                work -= self.freq.integrate(lo.as_nanos(), hi.as_nanos());
+            }
+        }
+        work.max(0.0)
+    }
+
+    /// See [`CoreTimeline::real_time_after_work`]: consume `work` over the
+    /// busy segments between gaps, at the stepwise frequency.
+    pub fn real_time_after_work(&mut self, t: Nanos, work: f64) -> Nanos {
+        debug_assert!(work >= 0.0);
+        let now = self.next_runnable(t);
+        self.seek(now);
+        let gaps = &self.timeline.gaps;
+        let mut remaining = work;
+        let mut at = now.as_nanos();
+        loop {
+            // Busy segment [at, seg_end); the frequency may step inside
+            // it, so walk its change points too.
+            let seg_end = gaps.get(self.gap).map_or(u64::MAX, |g| g.start.as_nanos());
+            while at < seg_end {
+                let (m, next) = self.freq.step_at(at);
+                let m = m.max(1e-9);
+                let next = next.map_or(seg_end, |p| p.min(seg_end));
+                let capacity = (next - at) as f64 * m;
+                if capacity >= remaining {
+                    let dt = (remaining / m).ceil() as u64;
+                    return Nanos(at + dt);
+                }
+                remaining -= capacity;
+                at = next;
+            }
+            // Work left and no gap to skip would mean the open-ended final
+            // segment failed to absorb it.
+            let g = gaps.get(self.gap).expect("work not consumed on open-ended busy segment");
+            at = g.end.as_nanos();
+            self.gap += 1;
+        }
+    }
 }
 
 #[cfg(test)]

@@ -2,8 +2,10 @@
 //!
 //! The simulator communicates slowly varying quantities — LLC occupancy,
 //! CPU frequency — to the attacker replay layer as [`StepSeries`]: a sorted
-//! list of `(time, value)` change points. Lookup is `O(log n)` and
-//! integration over an interval is exact.
+//! list of `(time, value)` change points. A one-off lookup is `O(log n)`
+//! and integration over an interval is exact. Replays that query at
+//! non-decreasing times walk a [`SeriesCursor`] instead, which every
+//! random-access query is built on.
 
 use crate::{Result, StatsError};
 use serde::{Deserialize, Serialize};
@@ -88,11 +90,7 @@ impl StepSeries {
 
     /// Value at time `t`.
     pub fn value_at(&self, t: u64) -> f64 {
-        match self.points.binary_search_by_key(&t, |&(pt, _)| pt) {
-            Ok(i) => self.points[i].1,
-            Err(0) => self.initial,
-            Err(i) => self.points[i - 1].1,
-        }
+        self.cursor_at(t).value_at(t)
     }
 
     /// Exact integral of the series over `[a, b)` (in value × time units).
@@ -101,25 +99,19 @@ impl StepSeries {
     ///
     /// Panics when `a > b`.
     pub fn integrate(&self, a: u64, b: u64) -> f64 {
-        assert!(a <= b, "integrate needs a <= b");
-        if a == b {
-            return 0.0;
-        }
-        let mut acc = 0.0;
-        let mut t = a;
-        let mut v = self.value_at(a);
-        // Index of first change point strictly after a.
-        let start = self.points.partition_point(|&(pt, _)| pt <= a);
-        for &(pt, pv) in &self.points[start..] {
-            if pt >= b {
-                break;
-            }
-            acc += v * (pt - t) as f64;
-            t = pt;
-            v = pv;
-        }
-        acc += v * (b - t) as f64;
-        acc
+        self.cursor_at(a).integrate(a, b)
+    }
+
+    /// A forward cursor positioned before the first change point. Queries
+    /// at non-decreasing times cost amortized `O(1)` each instead of a
+    /// binary search per query.
+    pub fn cursor(&self) -> SeriesCursor<'_> {
+        SeriesCursor { series: self, next: 0 }
+    }
+
+    /// A cursor seeded by one binary search to sit at time `t`.
+    pub fn cursor_at(&self, t: u64) -> SeriesCursor<'_> {
+        SeriesCursor { series: self, next: self.points.partition_point(|&(pt, _)| pt <= t) }
     }
 
     /// Mean value over `[a, b)`.
@@ -151,6 +143,76 @@ impl StepSeries {
     /// producing `n` samples. Used when exporting figure data.
     pub fn sample(&self, t0: u64, dt: u64, n: usize) -> Vec<f64> {
         (0..n).map(|i| self.value_at(t0 + dt * i as u64)).collect()
+    }
+}
+
+/// A cursor over a [`StepSeries`] that remembers where its last query
+/// landed. Answers are exactly those of the random-access methods for
+/// any query order; when query times are non-decreasing, as in an attack
+/// replay walking forward through a trace, the cursor only ever steps
+/// forward and the whole walk costs `O(points + queries)`.
+#[derive(Debug, Clone)]
+pub struct SeriesCursor<'a> {
+    series: &'a StepSeries,
+    /// Index of the first change point strictly after the last query time.
+    next: usize,
+}
+
+impl SeriesCursor<'_> {
+    /// Move to time `t`: afterwards `next` is the index of the first
+    /// change point strictly after `t`.
+    fn seek(&mut self, t: u64) {
+        let points = &self.series.points;
+        while self.next < points.len() && points[self.next].0 <= t {
+            self.next += 1;
+        }
+        while self.next > 0 && points[self.next - 1].0 > t {
+            self.next -= 1;
+        }
+    }
+
+    /// The value at `t` and the time of the first change point after `t`
+    /// (`None` when the value holds forever).
+    pub fn step_at(&mut self, t: u64) -> (f64, Option<u64>) {
+        self.seek(t);
+        let points = &self.series.points;
+        let value = match self.next {
+            0 => self.series.initial,
+            i => points[i - 1].1,
+        };
+        (value, points.get(self.next).map(|&(pt, _)| pt))
+    }
+
+    /// Value at time `t`.
+    pub fn value_at(&mut self, t: u64) -> f64 {
+        self.step_at(t).0
+    }
+
+    /// Exact integral of the series over `[a, b)`; moves the cursor to
+    /// `a` only, so overlapping intervals with non-decreasing starts stay
+    /// forward-only.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `a > b`.
+    pub fn integrate(&mut self, a: u64, b: u64) -> f64 {
+        assert!(a <= b, "integrate needs a <= b");
+        if a == b {
+            return 0.0;
+        }
+        let (mut v, _) = self.step_at(a);
+        let mut acc = 0.0;
+        let mut t = a;
+        for &(pt, pv) in &self.series.points[self.next..] {
+            if pt >= b {
+                break;
+            }
+            acc += v * (pt - t) as f64;
+            t = pt;
+            v = pv;
+        }
+        acc += v * (b - t) as f64;
+        acc
     }
 }
 

@@ -120,3 +120,74 @@ proptest! {
         }
     }
 }
+
+/// Linear-scan reference: the value of the last change point at or
+/// before `t`.
+fn value_ref(initial: f64, points: &[(u64, f64)], t: u64) -> f64 {
+    points.iter().take_while(|&&(pt, _)| pt <= t).last().map_or(initial, |&(_, v)| v)
+}
+
+/// Linear-scan reference for the integral over `[a, b)`, in the series'
+/// order of floating-point operations.
+fn integrate_ref(initial: f64, points: &[(u64, f64)], a: u64, b: u64) -> f64 {
+    if a == b {
+        return 0.0;
+    }
+    let mut acc = 0.0;
+    let mut t = a;
+    let mut v = value_ref(initial, points, a);
+    for &(pt, pv) in points.iter().filter(|&&(pt, _)| pt > a) {
+        if pt >= b {
+            break;
+        }
+        acc += v * (pt - t) as f64;
+        t = pt;
+        v = pv;
+    }
+    acc + v * (b - t) as f64
+}
+
+proptest! {
+    /// A series cursor answers exactly as a linear scan does, bit for
+    /// bit, over non-decreasing query times and in arbitrary order;
+    /// a third of the query times land exactly on a change point.
+    #[test]
+    fn series_cursor_matches_linear_scan(
+        points in proptest::collection::vec((0u64..10_000, -5.0f64..5.0), 0..40),
+        initial in -5.0f64..5.0,
+        raw in proptest::collection::vec((0u8..3, 0u64..11_000, 0usize..1_000, 0u64..4_000), 1..60),
+    ) {
+        let mut points = points;
+        points.sort_by_key(|&(t, _)| t);
+        points.dedup_by_key(|&mut (t, _)| t);
+        let s = StepSeries::from_points(initial, points.clone()).unwrap();
+        let queries: Vec<(u64, u64)> = raw
+            .iter()
+            .map(|&(kind, t, pick, span)| {
+                let a = if kind == 0 && !points.is_empty() { points[pick % points.len()].0 } else { t };
+                let b = if kind == 1 && !points.is_empty() {
+                    points[pick % points.len()].0.max(a)
+                } else {
+                    a + span
+                };
+                (a, b)
+            })
+            .collect();
+        let mut sorted = queries.clone();
+        sorted.sort_unstable();
+        for order in [&sorted, &queries] {
+            let mut cursor = s.cursor();
+            for &(a, b) in order.iter() {
+                let value = value_ref(initial, &points, a);
+                let next = points.iter().map(|&(pt, _)| pt).find(|&pt| pt > a);
+                let (v, n) = cursor.step_at(a);
+                prop_assert_eq!((v.to_bits(), n), (value.to_bits(), next), "step_at({})", a);
+                prop_assert_eq!(cursor.value_at(a).to_bits(), value.to_bits());
+                prop_assert_eq!(s.value_at(a).to_bits(), value.to_bits());
+                let integral = integrate_ref(initial, &points, a, b).to_bits();
+                prop_assert_eq!(cursor.integrate(a, b).to_bits(), integral, "integrate({}, {})", a, b);
+                prop_assert_eq!(s.integrate(a, b).to_bits(), integral);
+            }
+        }
+    }
+}
