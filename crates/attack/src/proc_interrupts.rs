@@ -105,7 +105,6 @@ mod tests {
         let interrupts = sim
             .kernel_log
             .events()
-            .iter()
             .filter(|e| e.kind.interrupt().is_some() && e.start < Nanos::from_secs(1))
             .count();
         assert_eq!(trace.total() as usize, interrupts);

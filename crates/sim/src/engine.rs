@@ -32,15 +32,17 @@
 //! The cascade is the one source whose raw emissions are not time-sorted
 //! (NIC coalescing flushes a batch at its *first* packet's timestamp,
 //! after later packets have been seen). It reorders internally through a
-//! min-heap keyed `(t, emission seq)` and only releases an arrival when
-//! no future emission can precede it: the next unprocessed workload
-//! event's time, or the pending NIC batch's start, whichever binds.
+//! queue keyed `(t, emission seq)` and only releases an arrival when no
+//! future emission can precede it: the next unprocessed workload event's
+//! time, or the pending NIC batch's start, whichever binds. Most
+//! emissions arrive in key order, so the queue is an ordered FIFO run
+//! with a min-heap behind it for the rest.
 //!
 //! Per-core kernel logs are built already sorted (service start times are
-//! strictly increasing per core) and k-way merged by `(start, core)` at
-//! the end, replacing the old global sort. All scratch and output buffers
-//! come from the thread-local [`workspace`](crate::workspace) pool, so a
-//! steady-state run performs zero heap allocations (see the
+//! strictly increasing per core) and handed to the [`KernelLog`] as they
+//! are; no global merge runs per simulation. All scratch and output
+//! buffers come from the thread-local [`workspace`](crate::workspace)
+//! pool, so a steady-state run performs zero heap allocations (see the
 //! `alloc_regression` test).
 
 use crate::config::{MachineConfig, VmMode};
@@ -51,6 +53,7 @@ use crate::workload::{TimedEvent, Workload, WorkloadEvent};
 use crate::workspace;
 use bf_stats::{SeedRng, StepSeries};
 use bf_timer::Nanos;
+use std::collections::VecDeque;
 
 /// Kernel-behavior tuning knobs (deferral probabilities, coalescing,
 /// preemption model). The defaults model an Ubuntu-20.04-like kernel; the
@@ -170,12 +173,10 @@ impl PendingArrival {
 ///
 /// Every correct priority queue pops the unique ascending key order, so
 /// the heap's internal layout cannot affect `SimOutput` — this is free to
-/// differ from `std::collections::BinaryHeap`. The buffer runs deep
-/// (bursts hold hundreds to thousands of in-flight emissions, so a
-/// sorted-vec insert would degenerate quadratically); the 4-wide fan-out
-/// halves sift-down depth vs a binary heap and keeps each child scan
-/// inside two cache lines, and the sift loops move elements into a hole
-/// instead of swapping.
+/// differ from `std::collections::BinaryHeap`. The 4-wide fan-out halves
+/// sift-down depth vs a binary heap and keeps each child scan inside two
+/// cache lines, and the sift loops move elements into a hole instead of
+/// swapping.
 struct ReorderHeap {
     v: Vec<PendingArrival>,
 }
@@ -242,6 +243,87 @@ impl ReorderHeap {
         }
         self.v[i] = last;
         Some(top)
+    }
+}
+
+/// The cascade's reorder buffer: an ordered run in front of a
+/// [`ReorderHeap`].
+///
+/// The buffer runs deep (an open NIC batch holds back every emission
+/// made after it, so bursts keep hundreds to thousands in flight), but
+/// most emissions arrive in key order. A push whose key exceeds the
+/// run's back key appends to the run in O(1); any other push goes to the
+/// heap. The run stays sorted, so the smallest buffered key is the
+/// smaller of the two heads, and keys are unique: the pop order is the
+/// same unique ascending key order a lone heap gives.
+struct ReorderQueue {
+    run: VecDeque<PendingArrival>,
+    heap: ReorderHeap,
+}
+
+impl ReorderQueue {
+    /// Both buffers start with at least this capacity, so each comes
+    /// back poolable even when a workload leaves one unused (the pool
+    /// drops zero-capacity vectors) and warm runs never miss the pool.
+    const MIN_CAPACITY: usize = 64;
+
+    fn new(mut run: Vec<PendingArrival>, mut heap: Vec<PendingArrival>) -> Self {
+        debug_assert!(run.is_empty());
+        run.reserve(Self::MIN_CAPACITY);
+        heap.reserve(Self::MIN_CAPACITY);
+        ReorderQueue {
+            run: VecDeque::from(run),
+            heap: ReorderHeap::new(heap),
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, e: PendingArrival) {
+        if self.run.back().is_none_or(|b| b.key < e.key) {
+            self.run.push_back(e); // alloc-ok: pooled buffer, amortized by reuse across runs
+        } else {
+            self.heap.push(e);
+        }
+    }
+
+    /// True when the minimum sits at the front of the run.
+    #[inline]
+    fn min_in_run(&self) -> bool {
+        match (self.run.front(), self.heap.peek()) {
+            (Some(r), Some(h)) => r.key < h.key,
+            (r, _) => r.is_some(),
+        }
+    }
+
+    #[inline]
+    fn peek(&self) -> Option<&PendingArrival> {
+        if self.min_in_run() {
+            self.run.front()
+        } else {
+            self.heap.peek()
+        }
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<PendingArrival> {
+        if self.min_in_run() {
+            self.run.pop_front()
+        } else {
+            self.heap.pop()
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.run.is_empty() && self.heap.is_empty()
+    }
+
+    /// The backing vectors `(run, heap)`, emptied for pooling.
+    fn into_parts(self) -> (Vec<PendingArrival>, Vec<PendingArrival>) {
+        let mut run = self.run;
+        // `clear` also rewinds the ring to the buffer start, so the
+        // conversion back to a `Vec` moves nothing and never allocates.
+        run.clear();
+        (Vec::from(run), self.heap.v)
     }
 }
 
@@ -404,10 +486,10 @@ impl<'a> BackgroundStream<'a> {
 ///
 /// Emissions are not time-sorted at the source — a NIC coalescing flush
 /// lands at the batch's *first* packet time, after later packets were
-/// seen — so they buffer in a `(t, seq)` min-heap and are released only
-/// once no future emission can precede them (every arm emits at or after
-/// its event's time, and a pending NIC batch can only flush at
-/// `nic_first`).
+/// seen — so they buffer in a `(t, seq)`-ordered [`ReorderQueue`] and
+/// are released only once no future emission can precede them (every
+/// arm emits at or after its event's time, and a pending NIC batch can
+/// only flush at `nic_first`).
 struct Cascade<'a> {
     cfg: &'a MachineConfig,
     tuning: &'a KernelTuning,
@@ -432,7 +514,7 @@ struct Cascade<'a> {
     nic_first: Nanos,
     nic_last: Nanos,
     final_flushed: bool,
-    pending: ReorderHeap,
+    pending: ReorderQueue,
     heap_seq: u64,
     llc: StepSeries,
     llc_cum: f64,
@@ -478,7 +560,7 @@ impl<'a> Cascade<'a> {
             nic_first: Nanos::ZERO,
             nic_last: Nanos::ZERO,
             final_flushed: false,
-            pending: ReorderHeap::new(workspace::take_pending()),
+            pending: ReorderQueue::new(workspace::take_pending(), workspace::take_pending()),
             heap_seq: 0,
             llc: StepSeries::new_in(0.0, workspace::take_points()),
             llc_cum: 0.0,
@@ -767,7 +849,11 @@ impl<'a> Cascade<'a> {
         if let Some(order) = order {
             workspace::give_index(order);
         }
-        workspace::give_pending(pending.v);
+        let (run, heap) = pending.into_parts();
+        // Reverse take order: the next run takes each buffer back in the
+        // same role, so capacities settle per role.
+        workspace::give_pending(heap);
+        workspace::give_pending(run);
         llc
     }
 }
@@ -1095,43 +1181,8 @@ impl Machine {
         workspace::give_nanos(busy_until);
         let llc = cascade.finish();
 
-        // Merge the born-sorted per-core logs by (start, core) — the
-        // composite keys are unique (per-core starts strictly increase),
-        // so this equals the retired engine's stable global sort.
-        let mut merged = workspace::take_events();
-        merged.reserve(core_logs.iter().map(|l| l.len()).sum());
-        let mut cursors = workspace::take_usizes();
-        cursors.resize(cfg.num_cores, 0);
-        // Cache each core's head start (MAX = exhausted) so one round
-        // scans a short array instead of re-indexing every log; strict
-        // `<` keeps the lowest core on ties, i.e. (start, core) order.
-        let mut heads = workspace::take_nanos();
-        for log in core_logs.iter() {
-            heads.push(log.first().map_or(Nanos::MAX, |e| e.start));
-        }
-        loop {
-            let mut best_core = usize::MAX;
-            let mut best_t = Nanos::MAX;
-            for (core, &h) in heads.iter().enumerate() {
-                if h < best_t {
-                    best_t = h;
-                    best_core = core;
-                }
-            }
-            if best_core == usize::MAX {
-                break;
-            }
-            let cur = cursors[best_core];
-            merged.push(core_logs[best_core][cur]);
-            cursors[best_core] = cur + 1;
-            heads[best_core] = core_logs[best_core]
-                .get(cur + 1)
-                .map_or(Nanos::MAX, |e| e.start);
-        }
-        workspace::give_nanos(heads);
-        workspace::give_usizes(cursors);
-        workspace::give_event_list(core_logs);
-        let kernel_log = KernelLog::from_sorted_events(merged);
+        // Each core's log is born sorted; the log keeps them per core.
+        let kernel_log = KernelLog::from_core_logs(core_logs);
 
         // Flush the run's tallies into the global metrics registry.
         bf_obs::counter("sim.runs").inc();
@@ -1305,7 +1356,10 @@ mod tests {
         let a = m.run(&w, 7);
         let b = m.run(&w, 7);
         assert_eq!(a.attacker_timeline().gaps(), b.attacker_timeline().gaps());
-        assert_eq!(a.kernel_log.events(), b.kernel_log.events());
+        assert_eq!(
+            a.kernel_log.events().collect::<Vec<_>>(),
+            b.kernel_log.events().collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -1327,7 +1381,10 @@ mod tests {
         assert!(sorted.is_sorted());
         let a = m.run(&unsorted, 7);
         let b = m.run(&sorted, 7);
-        assert_eq!(a.kernel_log.events(), b.kernel_log.events());
+        assert_eq!(
+            a.kernel_log.events().collect::<Vec<_>>(),
+            b.kernel_log.events().collect::<Vec<_>>()
+        );
         assert_eq!(a.llc_loads.points(), b.llc_loads.points());
         for (x, y) in a.cores.iter().zip(&b.cores) {
             assert_eq!(x.gaps(), y.gaps());
@@ -1339,7 +1396,7 @@ mod tests {
     fn kernel_log_is_sorted_without_finalize() {
         let m = Machine::new(MachineConfig::default());
         let out = m.run(&quick_workload(Nanos::from_millis(500)), 7);
-        let events = out.kernel_log.events();
+        let events: Vec<_> = out.kernel_log.events().collect();
         assert!(events
             .windows(2)
             .all(|w| (w[0].start, w[0].core) <= (w[1].start, w[1].core)));
@@ -1513,7 +1570,6 @@ mod tests {
         let receiving_cores: std::collections::HashSet<usize> = out
             .kernel_log
             .events()
-            .iter()
             .filter(|e| e.kind == KernelEventKind::Interrupt(InterruptKind::TlbShootdown))
             .map(|e| e.core)
             .collect();
@@ -1545,7 +1601,6 @@ mod tests {
         let count = |o: &SimOutput| {
             o.kernel_log
                 .events()
-                .iter()
                 .filter(|e| e.kind == KernelEventKind::Interrupt(InterruptKind::TimerTick))
                 .count()
         };
@@ -1632,6 +1687,99 @@ mod tests {
             .gaps()
             .iter()
             .all(|g| g.cause != GapCause::Hardware));
+    }
+
+    fn pending(t: u64, seq: u64) -> PendingArrival {
+        PendingArrival {
+            key: ((t as u128) << 64) | seq as u128,
+            core: 0,
+            units: 0,
+            kind: InterruptKind::TimerTick,
+        }
+    }
+
+    proptest::proptest! {
+        /// The run-plus-heap queue pops exactly the `(t, seq)`-sorted
+        /// order of what was pushed, under any push/pop interleaving:
+        /// in-order bursts (the run's path), equal times, keys behind the
+        /// run's back (the heap's path), and partial drains that leave
+        /// the run non-empty.
+        #[test]
+        fn reorder_queue_pops_sorted_keys(
+            ops in proptest::collection::vec((0u64..4, 0u64..50, 0u64..8), 0..400),
+        ) {
+            let mut q = ReorderQueue::new(Vec::new(), Vec::new());
+            let mut reference = std::collections::BTreeSet::new();
+            let (mut clock, mut seq) = (0u64, 0u64);
+            let mut push = |q: &mut ReorderQueue, reference: &mut std::collections::BTreeSet<u128>, t: u64| {
+                let e = pending(t, seq);
+                seq += 1;
+                reference.insert(e.key);
+                q.push(e);
+            };
+            for (op, dt, n) in ops {
+                match op {
+                    0 => {
+                        clock += dt;
+                        for _ in 0..=n {
+                            push(&mut q, &mut reference, clock);
+                        }
+                    }
+                    1 => push(&mut q, &mut reference, clock.saturating_sub(dt)),
+                    2 => {
+                        for _ in 0..n {
+                            let want = reference.pop_first();
+                            proptest::prop_assert_eq!(q.peek().map(|e| e.key), want);
+                            proptest::prop_assert_eq!(q.pop().map(|e| e.key), want);
+                        }
+                    }
+                    _ => push(&mut q, &mut reference, clock),
+                }
+                proptest::prop_assert_eq!(q.is_empty(), reference.is_empty());
+            }
+            while let Some(want) = reference.pop_first() {
+                proptest::prop_assert_eq!(q.pop().map(|e| e.key), Some(want));
+            }
+            proptest::prop_assert!(q.pop().is_none() && q.is_empty());
+        }
+    }
+
+    /// An open NIC batch between two packets pins the release bound at
+    /// the first packet while thousands of wakes emit IPIs behind it.
+    /// Those emissions arrive in key order and must sit in the run, not
+    /// the heap; the late flush at the first packet's time must still
+    /// come out first, and everything after it in `(t, seq)` order.
+    #[test]
+    fn stale_open_nic_batch_rides_the_run() {
+        let cfg = MachineConfig::default();
+        let tuning = KernelTuning::default();
+        let first = Nanos::from_millis(1);
+        let mut w = Workload::new(Nanos::from_millis(200));
+        w.push_at(first, WorkloadEvent::NetworkPacket { bytes: 1_500 });
+        for i in 0..3_000u64 {
+            w.push_at(first + Nanos::from_micros(30 + i * 30), WorkloadEvent::VictimWake);
+        }
+        w.push_at(Nanos::from_millis(150), WorkloadEvent::NetworkPacket { bytes: 1_500 });
+        let root = SeedRng::new(9);
+        let mut cascade = Cascade::new(&cfg, &tuning, &w, root.fork(4), root.fork(7));
+        let mut arrivals = Vec::new();
+        let (mut max_run, mut max_heap) = (0, 0);
+        while let Some(a) = cascade.next() {
+            max_run = max_run.max(cascade.pending.run.len());
+            max_heap = max_heap.max(cascade.pending.heap.v.len());
+            arrivals.push(a);
+        }
+        cascade.finish();
+        let wakes = arrivals
+            .iter()
+            .filter(|a| a.kind == InterruptKind::RescheduleIpi)
+            .count();
+        assert!(wakes > 1_500, "wake IPIs: {wakes}");
+        assert_eq!(arrivals.len(), wakes + 4, "two NIC flushes of IRQ + NET_RX");
+        assert_eq!((arrivals[0].t, arrivals[0].kind), (first, InterruptKind::NetworkRx));
+        assert!(arrivals.windows(2).all(|p| p[0].t <= p[1].t));
+        assert!(max_run + 1 >= wakes, "run held {max_run} of {wakes} wakes");
+        assert!(max_heap <= 2, "heap held {max_heap}");
     }
 
     #[test]

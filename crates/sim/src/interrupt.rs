@@ -1,7 +1,7 @@
 //! Interrupt taxonomy and handler-time model (§2.2, §5.3).
 
 use bf_stats::SeedRng;
-use bf_timer::Nanos;
+use bf_timer::{round_half_away_u64, Nanos};
 use serde::{Deserialize, Serialize};
 
 /// Linux softirq classes relevant to the attack.
@@ -281,7 +281,7 @@ impl HandlerTimeModel {
         let (ln_median, sigma) = Self::ln_body_params()[kind.index()];
         let body = rng.log_normal(ln_median, sigma);
         let mut t =
-            Nanos::from_nanos(body.round() as u64) + Self::per_unit_cost(kind) * units as u64;
+            Nanos::from_nanos(round_half_away_u64(body)) + Self::per_unit_cost(kind) * units as u64;
         if matches!(kind, InterruptKind::Softirq(_)) && t > Self::SOFTIRQ_BUDGET {
             t = Self::SOFTIRQ_BUDGET;
         }

@@ -54,72 +54,80 @@ impl KernelEvent {
     }
 }
 
-/// Time-ordered log of kernel activity across all cores.
+/// Time-ordered log of kernel activity across all cores, stored per core.
+///
+/// Each core's events are kept in start order (service start times on a
+/// core strictly increase, so the engine's per-core logs are born
+/// sorted). Per-core queries read one core's vector directly; the
+/// all-core view [`KernelLog::events`] merges the cores on read.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct KernelLog {
-    events: Vec<KernelEvent>,
-    sorted: bool,
+    /// `cores[c]`: the events on core `c`, ascending by start.
+    cores: Vec<Vec<KernelEvent>>,
 }
 
 impl KernelLog {
     /// An empty log.
     pub fn new() -> Self {
-        KernelLog { events: Vec::new(), sorted: true }
+        KernelLog::default()
     }
 
-    /// Adopt a pre-sorted event vector (ascending `(start, core)`)
-    /// without re-sorting — the streamed engine merges per-core logs
-    /// itself, and a redundant `finalize` would allocate a sort buffer.
+    /// Adopt per-core logs without copying: `cores[c]` holds core `c`'s
+    /// events in start order.
     ///
-    /// Order is debug-asserted; an unsorted vector in release builds
-    /// yields a log whose order-dependent queries are wrong.
-    pub fn from_sorted_events(events: Vec<KernelEvent>) -> Self {
+    /// Both properties are debug-asserted; a log that breaks them in
+    /// release builds yields wrong order-dependent queries.
+    pub fn from_core_logs(cores: Vec<Vec<KernelEvent>>) -> Self {
         debug_assert!(
-            events.windows(2).all(|w| (w[0].start, w[0].core) <= (w[1].start, w[1].core)),
-            "from_sorted_events requires (start, core) order"
+            cores.iter().enumerate().all(|(core, log)| {
+                log.iter().all(|e| e.core == core)
+                    && log.windows(2).all(|w| w[0].start <= w[1].start)
+            }),
+            "from_core_logs requires per-core logs in start order"
         );
-        KernelLog { events, sorted: true }
+        KernelLog { cores }
     }
 
-    /// Dismantle the log into its event storage so the vector can be
+    /// Dismantle the log into its per-core storage so the vectors can be
     /// pooled and reused.
-    pub fn into_events(self) -> Vec<KernelEvent> {
-        self.events
+    pub fn into_core_logs(self) -> Vec<Vec<KernelEvent>> {
+        self.cores
     }
 
-    /// Append one event (any order; sorted lazily).
+    /// Insert one event, in any order. It lands after every event on its
+    /// core that starts no later, so equal starts keep insertion order —
+    /// the order a stable sort by `(start, core)` gives.
     pub fn record(&mut self, ev: KernelEvent) {
         debug_assert!(!ev.is_empty(), "zero-length kernel event");
-        self.events.push(ev);
-        self.sorted = false;
+        if self.cores.len() <= ev.core {
+            self.cores.resize_with(ev.core + 1, Vec::new);
+        }
+        let log = &mut self.cores[ev.core];
+        let at = log.partition_point(|e| e.start <= ev.start);
+        log.insert(at, ev);
     }
 
-    /// Sort events by (start, core).
-    pub fn finalize(&mut self) {
-        if !self.sorted {
-            self.events.sort_by_key(|e| (e.start, e.core));
-            self.sorted = true;
+    /// All events in `(start, core)` order, merged from the per-core logs
+    /// as the iterator advances.
+    pub fn events(&self) -> Events<'_> {
+        Events {
+            rest: self.cores.iter().map(Vec::as_slice).collect(),
         }
     }
 
-    /// All events (call [`KernelLog::finalize`] first for time order).
-    pub fn events(&self) -> &[KernelEvent] {
-        &self.events
-    }
-
-    /// Events on a specific core, in log order.
-    pub fn events_on_core(&self, core: usize) -> impl Iterator<Item = &KernelEvent> {
-        self.events.iter().filter(move |e| e.core == core)
+    /// Events on a specific core, in start order.
+    pub fn events_on_core(&self, core: usize) -> std::slice::Iter<'_, KernelEvent> {
+        self.cores.get(core).map_or(&[][..], Vec::as_slice).iter()
     }
 
     /// Number of events.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.cores.iter().map(Vec::len).sum()
     }
 
     /// True when nothing was logged.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.cores.iter().all(Vec::is_empty)
     }
 
     /// Total kernel time on a core attributable to interrupts, within
@@ -138,8 +146,37 @@ impl KernelLog {
 
 impl Extend<KernelEvent> for KernelLog {
     fn extend<I: IntoIterator<Item = KernelEvent>>(&mut self, iter: I) {
-        self.events.extend(iter);
-        self.sorted = false;
+        for ev in iter {
+            self.record(ev);
+        }
+    }
+}
+
+/// A [`KernelLog`]'s events in `(start, core)` order; see
+/// [`KernelLog::events`].
+#[derive(Debug, Clone)]
+pub struct Events<'a> {
+    /// Each core's events not yet yielded; index = core id.
+    rest: Vec<&'a [KernelEvent]>,
+}
+
+impl<'a> Iterator for Events<'a> {
+    type Item = &'a KernelEvent;
+
+    fn next(&mut self) -> Option<&'a KernelEvent> {
+        // Strict `<` keeps the lowest core on equal starts.
+        let mut best: Option<(usize, Nanos)> = None;
+        for (core, rest) in self.rest.iter().enumerate() {
+            if let Some(e) = rest.first() {
+                if best.is_none_or(|(_, start)| e.start < start) {
+                    best = Some((core, e.start));
+                }
+            }
+        }
+        let (core, _) = best?;
+        let (ev, rest) = self.rest[core].split_first()?;
+        self.rest[core] = rest;
+        Some(ev)
     }
 }
 
@@ -152,25 +189,59 @@ mod tests {
     }
 
     #[test]
-    fn record_and_finalize_orders_by_time() {
+    fn record_orders_by_time() {
         let mut log = KernelLog::new();
         log.record(ev(0, 50, 60, KernelEventKind::ContextSwitch));
         log.record(ev(1, 10, 20, KernelEventKind::Interrupt(InterruptKind::TimerTick)));
-        log.finalize();
-        assert_eq!(log.events()[0].start, Nanos(10));
+        assert_eq!(log.events().next().map(|e| e.start), Some(Nanos(10)));
         assert_eq!(log.len(), 2);
     }
 
     #[test]
-    fn from_sorted_events_skips_resort() {
-        let events = vec![
-            ev(1, 10, 20, KernelEventKind::Interrupt(InterruptKind::TimerTick)),
-            ev(0, 50, 60, KernelEventKind::ContextSwitch),
+    fn record_matches_stable_sort_by_start_and_core() {
+        let tick = KernelEventKind::Interrupt(InterruptKind::TimerTick);
+        let disk = KernelEventKind::Interrupt(InterruptKind::Disk);
+        let recorded = [
+            ev(2, 30, 40, tick),
+            ev(0, 30, 35, tick),
+            ev(2, 10, 20, disk),
+            ev(0, 30, 45, disk),
+            ev(1, 5, 9, tick),
+            ev(2, 30, 31, disk),
+            ev(0, 0, 3, tick),
         ];
-        let log = KernelLog::from_sorted_events(events.clone());
-        assert_eq!(log.events(), &events[..]);
-        let recovered = log.into_events();
-        assert_eq!(recovered, events);
+        let mut log = KernelLog::new();
+        log.extend(recorded);
+        let mut want = recorded.to_vec();
+        want.sort_by_key(|e| (e.start, e.core));
+        assert_eq!(log.events().copied().collect::<Vec<_>>(), want);
+        for core in 0..3 {
+            let on_core: Vec<_> = want.iter().filter(|e| e.core == core).copied().collect();
+            assert_eq!(log.events_on_core(core).copied().collect::<Vec<_>>(), on_core);
+        }
+        assert_eq!(log.events_on_core(7).count(), 0);
+    }
+
+    #[test]
+    fn core_logs_round_trip() {
+        let cores = vec![
+            vec![ev(0, 50, 60, KernelEventKind::ContextSwitch)],
+            vec![ev(1, 10, 20, KernelEventKind::Interrupt(InterruptKind::TimerTick))],
+        ];
+        let log = KernelLog::from_core_logs(cores.clone());
+        assert_eq!(
+            log.events().copied().collect::<Vec<_>>(),
+            [cores[1][0], cores[0][0]]
+        );
+        assert_eq!(log.into_core_logs(), cores);
+    }
+
+    #[test]
+    fn empty_cores_are_empty() {
+        let log = KernelLog::from_core_logs(vec![Vec::new(), Vec::new()]);
+        assert!(log.is_empty());
+        assert_eq!(log.len(), 0);
+        assert_eq!(log.events().next(), None);
     }
 
     #[test]

@@ -44,7 +44,7 @@
 //!     event: WorkloadEvent::NetworkPacket { bytes: 1500 },
 //! });
 //! let out = machine.run(&workload, 42);
-//! assert!(!out.kernel_log.events().is_empty());
+//! assert!(!out.kernel_log.is_empty());
 //! ```
 
 pub mod config;

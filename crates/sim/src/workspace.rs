@@ -3,8 +3,8 @@
 //! A collection run simulates thousands of machine runs back to back, and
 //! every [`Machine::run`](crate::Machine::run) needs the same family of
 //! scratch and output buffers: per-core gap lists, kernel-event vectors,
-//! step-series point storage, activity buckets, the cascade's pending
-//! heap. Allocating them per run puts the allocator on the hot path and
+//! step-series point storage, activity buckets, the cascade's reorder
+//! buffers. Allocating them per run puts the allocator on the hot path and
 //! fragments the heap across a fleet-scale sweep; this module keeps the
 //! buffers in thread-local free lists so a steady-state run performs no
 //! heap allocation at all (enforced by the `alloc_regression` test).
@@ -52,7 +52,6 @@ struct Workspace {
     points: Vec<Vec<(u64, f64)>>,
     f64s: Vec<Vec<f64>>,
     nanos: Vec<Vec<Nanos>>,
-    usizes: Vec<Vec<usize>>,
     gaps: Vec<Vec<Gap>>,
     events: Vec<Vec<KernelEvent>>,
     pending: Vec<Vec<PendingArrival>>,
@@ -103,7 +102,6 @@ macro_rules! pool_accessors {
 pool_accessors!(take_points, give_points, points, (u64, f64));
 pool_accessors!(take_f64s, give_f64s, f64s, f64);
 pool_accessors!(take_nanos, give_nanos, nanos, Nanos);
-pool_accessors!(take_usizes, give_usizes, usizes, usize);
 pool_accessors!(take_gaps, give_gaps, gaps, Gap);
 pool_accessors!(take_events, give_events, events, KernelEvent);
 pool_accessors!(take_pending, give_pending, pending, PendingArrival);
@@ -143,7 +141,7 @@ pub fn recycle(out: SimOutput) {
         llc_loads,
         ..
     } = out;
-    give_events(kernel_log.into_events());
+    give_event_list(kernel_log.into_core_logs());
     let (_, llc_points) = llc_loads.into_parts();
     give_points(llc_points);
     for timeline in cores.drain(..) {
@@ -229,7 +227,7 @@ mod tests {
         let mut w = Workload::new(Nanos::from_millis(50));
         w.push_at(Nanos::from_millis(10), WorkloadEvent::NetworkPacket { bytes: 1500 });
         let cold = machine.run(&w, 7);
-        let expected = cold.kernel_log.clone();
+        let expected: Vec<_> = cold.kernel_log.events().copied().collect();
         // Two recycled runs fill every free list (scratch buffers that
         // start at zero capacity are dropped on the first give).
         recycle(cold);
@@ -246,7 +244,7 @@ mod tests {
             "warm run should not miss the pool"
         );
         // Pooling must not perturb the output.
-        assert_eq!(warm.kernel_log.events(), expected.events());
+        assert_eq!(warm.kernel_log.events().copied().collect::<Vec<_>>(), expected);
         recycle(warm);
     }
 

@@ -86,8 +86,8 @@ fn assert_identical(new: &SimOutput, old: &SimOutput, label: &str) {
     assert_eq!(new.duration, old.duration, "{label}: duration");
     assert_eq!(new.attacker_core, old.attacker_core, "{label}: attacker core");
     assert_eq!(
-        new.kernel_log.events(),
-        old.kernel_log.events(),
+        new.kernel_log.events().collect::<Vec<_>>(),
+        old.kernel_log.events().collect::<Vec<_>>(),
         "{label}: kernel log"
     );
     assert_eq!(new.llc_loads, old.llc_loads, "{label}: llc series");
@@ -207,6 +207,29 @@ fn sorted_and_unsorted_workloads_match_legacy() {
         55,
         "finalized workload",
     );
+}
+
+/// One packet opens a NIC batch that stays open while thousands of wakes
+/// emit behind its stale release bound; a late packet then flushes the
+/// batch at the first packet's time, ahead of everything buffered.
+#[test]
+fn stale_open_nic_batch_matches_legacy() {
+    let first = Nanos::from_millis(2);
+    let mut w = Workload::new(Nanos::from_millis(150));
+    w.push_at(first, WorkloadEvent::NetworkPacket { bytes: 1_500 });
+    for i in 0..4_000u64 {
+        w.push_at(first + Nanos::from_micros(25 + i * 25), WorkloadEvent::VictimWake);
+    }
+    w.push_at(Nanos::from_millis(120), WorkloadEvent::NetworkPacket { bytes: 9_000 });
+    for seed in [3, 77] {
+        check(
+            MachineConfig::default(),
+            KernelTuning::default(),
+            &w,
+            seed,
+            &format!("stale nic batch/seed {seed}"),
+        );
+    }
 }
 
 #[test]

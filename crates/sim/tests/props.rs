@@ -43,7 +43,10 @@ proptest! {
         let a = m.run(&w, seed);
         let b = m.run(&w, seed);
         prop_assert_eq!(a.attacker_timeline().gaps(), b.attacker_timeline().gaps());
-        prop_assert_eq!(a.kernel_log.events(), b.kernel_log.events());
+        prop_assert_eq!(
+            a.kernel_log.events().collect::<Vec<_>>(),
+            b.kernel_log.events().collect::<Vec<_>>()
+        );
     }
 
     /// Gaps on every core are sorted, disjoint, and non-empty.
@@ -129,7 +132,8 @@ proptest! {
     fn kernel_log_sorted_without_finalize(w in workload_strategy(), seed in 0u64..1_000) {
         let m = Machine::new(MachineConfig::default());
         let out = m.run(&w, seed);
-        for pair in out.kernel_log.events().windows(2) {
+        let events: Vec<_> = out.kernel_log.events().collect();
+        for pair in events.windows(2) {
             prop_assert!(
                 (pair[0].start, pair[0].core) <= (pair[1].start, pair[1].core),
                 "out of order: {:?} then {:?}", pair[0], pair[1]
@@ -149,7 +153,10 @@ proptest! {
         sorted.finalize();
         let c = m.run(&sorted, seed);
         for other in [&b, &c] {
-            prop_assert_eq!(a.kernel_log.events(), other.kernel_log.events());
+            prop_assert_eq!(
+                a.kernel_log.events().collect::<Vec<_>>(),
+                other.kernel_log.events().collect::<Vec<_>>()
+            );
             prop_assert_eq!(&a.llc_loads, &other.llc_loads);
             prop_assert_eq!(a.cores.len(), other.cores.len());
             for (x, y) in a.cores.iter().zip(&other.cores) {

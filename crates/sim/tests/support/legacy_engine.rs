@@ -353,8 +353,6 @@ pub fn legacy_run(
         );
     }
 
-    kernel_log.finalize();
-
     if !turbo_stalls.is_empty() {
         let gaps = &mut per_core_gaps[attacker];
         for stall in turbo_stalls {

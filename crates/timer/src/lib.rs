@@ -34,7 +34,7 @@ pub use browser::BrowserKind;
 pub use models::{
     JitteredTimer, PreciseTimer, QuantizedTimer, RandomizedTimer, RandomizedTimerConfig,
 };
-pub use nanos::Nanos;
+pub use nanos::{round_half_away_u64, Nanos};
 
 /// A monotonic timer as seen by an attacker.
 ///

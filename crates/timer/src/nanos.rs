@@ -5,15 +5,32 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Rem, Sub, SubAssign};
 
+/// `x.round() as u64` — round half away from zero, saturating at `0`
+/// and `u64::MAX`, with NaN mapping to `0` — without calling `f64::round`,
+/// which the baseline x86-64 target lowers to an out-of-line soft-float
+/// routine.
+///
+/// The truncation `t = x as u64` is exact, and for `1 <= x < 2^64` so is
+/// `x - t` (Sterbenz: `t <= x < t + 1 <= 2t`); below 1 it is `x` itself.
+/// Comparing that exact fractional part against 0.5 rounds exactly,
+/// including just below a half (0.499...) and at integers past 2^52.
+#[inline]
+pub fn round_half_away_u64(x: f64) -> u64 {
+    let t = x as u64;
+    // Branch-free: the fractional part is data-dependent noise, and a
+    // conditional jump on it mispredicts about half the time.
+    t.saturating_add(u64::from(x - t as f64 >= 0.5))
+}
+
 /// A point in (or span of) virtual time, in integer nanoseconds.
 ///
 /// All simulation arithmetic is integral, so timer quantization behaves
 /// bit-for-bit deterministically: `Nanos::from_millis(5) / 3` has an exact,
 /// reproducible answer on every platform.
 ///
-/// Subtraction panics on underflow in debug builds (like the underlying
-/// `u64`); use [`Nanos::saturating_sub`] where an attacker computes a
-/// difference that a fuzzed timer could make negative.
+/// Subtraction panics on underflow in every build profile; use
+/// [`Nanos::saturating_sub`] where an attacker computes a difference that
+/// a fuzzed timer could make negative.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
 )]
@@ -60,7 +77,7 @@ impl Nanos {
     /// Panics when `s` is negative or not finite.
     pub fn from_secs_f64(s: f64) -> Self {
         assert!(s.is_finite() && s >= 0.0, "seconds must be finite and non-negative");
-        Nanos((s * 1e9).round() as u64)
+        Nanos(round_half_away_u64(s * 1e9))
     }
 
     /// From fractional milliseconds (rounds to nearest nanosecond).
@@ -70,7 +87,7 @@ impl Nanos {
     /// Panics when `ms` is negative or not finite.
     pub fn from_millis_f64(ms: f64) -> Self {
         assert!(ms.is_finite() && ms >= 0.0, "milliseconds must be finite and non-negative");
-        Nanos((ms * 1e6).round() as u64)
+        Nanos(round_half_away_u64(ms * 1e6))
     }
 
     /// Raw nanosecond count.
@@ -142,7 +159,7 @@ impl Nanos {
     #[inline]
     pub fn mul_f64(self, f: f64) -> Nanos {
         assert!(f.is_finite() && f >= 0.0, "scale factor must be finite and non-negative");
-        Nanos((self.0 as f64 * f).round() as u64)
+        Nanos(round_half_away_u64(self.0 as f64 * f))
     }
 
     /// The smaller of two times.
@@ -185,14 +202,14 @@ impl Sub for Nanos {
     type Output = Nanos;
     #[inline]
     fn sub(self, rhs: Nanos) -> Nanos {
-        Nanos(self.0 - rhs.0)
+        self.checked_sub(rhs).expect("Nanos subtraction underflowed")
     }
 }
 
 impl SubAssign for Nanos {
     #[inline]
     fn sub_assign(&mut self, rhs: Nanos) {
-        self.0 -= rhs.0;
+        *self = *self - rhs;
     }
 }
 
@@ -259,6 +276,28 @@ impl fmt::Display for Nanos {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// `round_half_away_u64` equals `f64::round() as u64` on every bit
+        /// pattern: NaNs, negatives, subnormals and values past 2^64.
+        #[test]
+        fn round_half_away_matches_std_on_any_bits(bits in any::<u64>()) {
+            let x = f64::from_bits(bits);
+            prop_assert_eq!(round_half_away_u64(x), x.round() as u64, "x = {:e}", x);
+        }
+
+        /// ... and around every half and integer of the magnitudes the
+        /// callers produce (nanosecond counts up to 2^60), one ulp either side
+        /// included.
+        #[test]
+        fn round_half_away_matches_std_near_halves(k in 0u64..(1u64 << 60), quarter in 0u64..4) {
+            let x = k as f64 + quarter as f64 * 0.25;
+            for y in [x.next_down(), x, x.next_up()] {
+                prop_assert_eq!(round_half_away_u64(y), y.round() as u64, "y = {:e}", y);
+            }
+        }
+    }
 
     #[test]
     fn constructors_agree() {
@@ -298,9 +337,52 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "underflow")]
     fn sub_underflow_panics() {
         let _ = Nanos(1) - Nanos(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "underflow")]
+    fn sub_assign_underflow_panics() {
+        let mut t = Nanos(1);
+        t -= Nanos(2);
+    }
+
+    #[test]
+    fn round_half_away_edge_cases() {
+        let two52 = 4_503_599_627_370_496.0f64;
+        let two53 = 9_007_199_254_740_992.0f64;
+        let two64 = 18_446_744_073_709_551_616.0f64;
+        let cases = [
+            0.0,
+            -0.0,
+            0.5,
+            1.5,
+            2.5,
+            1e9 + 0.5,
+            0.49999999999999994,
+            1.4999999999999998,
+            0.5000000000000001,
+            two52 - 0.5,
+            two52,
+            two52 + 1.0,
+            two53,
+            two53 + 2.0,
+            two64 - 2048.0,
+            two64,
+            two64 * 2.0,
+            1e300,
+            f64::INFINITY,
+            -0.4,
+            -0.5,
+            -3.7,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for x in cases {
+            assert_eq!(round_half_away_u64(x), x.round() as u64, "x = {x:e}");
+        }
     }
 
     #[test]
