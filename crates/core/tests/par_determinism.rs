@@ -143,25 +143,53 @@ fn fnv1a(words: impl Iterator<Item = u32>) -> u64 {
     h
 }
 
-/// The golden training fixture: `scaled(300, 4, filters)` with dropout
-/// 0.3 and lr 0.01, net seed 1234, a 12×300 standard-normal batch from
-/// `SeedRng(77)` with labels `i % 4`, trained `steps` batches. Returns
-/// the FNV-1a fingerprint of every trained weight's bits.
-fn golden_train_hash(filters: usize, steps: usize) -> u64 {
+/// A net (seed 1234) trained on the golden fixture batch — `n`
+/// standard-normal rows of `cfg.input_len` samples from `SeedRng(77)`,
+/// labels `i % n_classes` — for `steps` steps, with the batch.
+fn golden_trained(
+    mut cfg: CnnLstmConfig,
+    dropout: f64,
+    n: usize,
+    steps: usize,
+) -> (bf_nn::CnnLstm, bf_nn::Tensor) {
     use bf_nn::{CnnLstm, Tensor};
     use bf_stats::SeedRng;
-    let mut cfg = CnnLstmConfig::scaled(300, 4, filters);
-    cfg.dropout = 0.3;
+    cfg.dropout = dropout;
     cfg.learning_rate = 0.01;
+    let len = cfg.input_len;
     let mut net = CnnLstm::new(cfg, 1234);
     let mut rng = SeedRng::new(77);
-    let data: Vec<f32> = (0..12 * 300).map(|_| rng.standard_normal() as f32).collect();
-    let labels: Vec<usize> = (0..12).map(|i| i % 4).collect();
-    let x = Tensor::new(&[12, 1, 300], data);
+    let data: Vec<f32> = (0..n * len).map(|_| rng.standard_normal() as f32).collect();
+    let labels: Vec<usize> = (0..n).map(|i| i % cfg.n_classes).collect();
+    let x = Tensor::new(&[n, 1, len], data);
     for _ in 0..steps {
         net.train_batch(&x, &labels);
     }
+    (net, x)
+}
+
+fn weights_hash(net: &mut bf_nn::CnnLstm) -> u64 {
     fnv1a(net.save_params().iter().flat_map(|p| p.iter().map(|v| v.to_bits())))
+}
+
+/// The golden training fixture: `scaled(300, 4, filters)` with dropout
+/// 0.3 and lr 0.01, a 12×300 batch, trained `steps` batches. Returns
+/// the FNV-1a fingerprint of every trained weight's bits.
+fn golden_train_hash(filters: usize, steps: usize) -> u64 {
+    let (mut net, _) = golden_trained(CnnLstmConfig::scaled(300, 4, filters), 0.3, 12, steps);
+    weights_hash(&mut net)
+}
+
+/// The default-shape golden fixture: `scaled(600, 20, 16)` — the
+/// geometry `classifier_for` fits at the default scale (conv1 output
+/// length 198, conv2 output length 14, 3 LSTM steps) — with dropout 0.5
+/// and lr 0.01, a batch of 32, trained 4 steps. Returns the FNV-1a
+/// fingerprints of the trained weights and of the `predict_proba` bits
+/// on the training batch.
+fn golden_default_shape_hashes() -> (u64, u64) {
+    let (mut net, x) = golden_trained(CnnLstmConfig::scaled(600, 20, 16), 0.5, 32, 4);
+    let proba = net.predict_proba(&x);
+    (weights_hash(&mut net), fnv1a(proba.data().iter().map(|v| v.to_bits())))
 }
 
 /// Weight fingerprints captured on the pre-workspace implementation
@@ -180,6 +208,29 @@ fn trained_weights_match_pre_workspace_golden_hashes() {
     assert_eq!(seq.1, GOLDEN_SCALAR_4F, "scalar path diverged from pre-workspace bits (t=1)");
     assert_eq!(par.0, GOLDEN_IM2COL_16F, "im2col path diverged from pre-workspace bits (t=4)");
     assert_eq!(par.1, GOLDEN_SCALAR_4F, "scalar path diverged from pre-workspace bits (t=4)");
+}
+
+/// Default-shape fingerprints (weights, predictions), captured before
+/// the training step's dead work was cut: skipping the first layer's
+/// input gradient and the other step-level savings must reproduce them.
+const GOLDEN_DEFAULT_WEIGHTS: u64 = 0x71e3da9757ce4297;
+const GOLDEN_DEFAULT_PROBA: u64 = 0xaa5164d498435e9c;
+
+#[test]
+fn default_shape_training_matches_golden_hashes() {
+    // Cold arena first, then the same fit again on the warm arena, at
+    // one worker and at four.
+    let (seq, par) = at_thread_counts(|| {
+        bf_nn::workspace::clear_thread();
+        let cold = golden_default_shape_hashes();
+        let warm = golden_default_shape_hashes();
+        let t = bf_par::threads();
+        assert_eq!(warm, cold, "warm-pool default-shape training diverged from cold (t={t})");
+        cold
+    });
+    let golden = (GOLDEN_DEFAULT_WEIGHTS, GOLDEN_DEFAULT_PROBA);
+    assert_eq!(seq, golden, "default shape diverged from golden bits (t=1)");
+    assert_eq!(par, golden, "default shape diverged from golden bits (t=4)");
 }
 
 #[test]
