@@ -75,6 +75,19 @@ pub trait Layer: std::fmt::Debug + Send {
     /// [`Layer::forward`] in training mode.
     fn backward(&mut self, grad: &Tensor) -> Tensor;
 
+    /// [`Layer::backward`] for a layer whose ∂loss/∂input nobody reads
+    /// (a network's first layer): accumulate parameter gradients only.
+    /// The default runs `backward` and recycles the input gradient into
+    /// the thread's [`workspace`] arena; layers whose input-gradient
+    /// pass is separable override it to skip that pass.
+    ///
+    /// # Panics
+    ///
+    /// As [`Layer::backward`].
+    fn backward_params(&mut self, grad: &Tensor) {
+        workspace::recycle(self.backward(grad));
+    }
+
     /// Mutable access to the layer's parameters (empty for stateless
     /// layers).
     fn params_mut(&mut self) -> Vec<&mut Param> {

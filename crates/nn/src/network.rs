@@ -203,22 +203,7 @@ impl CnnLstm {
         let logits = self.forward(x, true);
         let (loss, grad) = softmax_cross_entropy(&logits, labels);
         workspace::recycle(logits);
-        let mut g = grad;
-        for layer in self.layers.iter_mut().rev() {
-            let next = layer.backward(&g);
-            workspace::recycle(g);
-            g = next;
-        }
-        workspace::recycle(g);
-        self.optimizer.begin_step();
-        let CnnLstm { layers, optimizer, .. } = self;
-        let mut pi = 0usize;
-        for layer in layers.iter_mut() {
-            layer.for_each_param(&mut |p| {
-                optimizer.step_param(pi, p);
-                pi += 1;
-            });
-        }
+        self.backward_and_step(grad);
         loss
     }
 
@@ -231,12 +216,22 @@ impl CnnLstm {
         let logits = self.forward(x, true);
         let (loss, grad) = softmax_cross_entropy_soft(&logits, targets);
         workspace::recycle(logits);
+        self.backward_and_step(grad);
+        loss
+    }
+
+    /// Backpropagate the loss gradient through every layer and take one
+    /// optimizer step. The first layer's ∂loss/∂input has no reader, so
+    /// that layer runs [`Layer::backward_params`] instead.
+    fn backward_and_step(&mut self, grad: Tensor) {
+        let (first, rest) = self.layers.split_first_mut().expect("network has no layers");
         let mut g = grad;
-        for layer in self.layers.iter_mut().rev() {
+        for layer in rest.iter_mut().rev() {
             let next = layer.backward(&g);
             workspace::recycle(g);
             g = next;
         }
+        first.backward_params(&g);
         workspace::recycle(g);
         self.optimizer.begin_step();
         let CnnLstm { layers, optimizer, .. } = self;
@@ -247,7 +242,6 @@ impl CnnLstm {
                 pi += 1;
             });
         }
-        loss
     }
 
     /// Gather trace *prefixes* into a `(N, 1, input_len)` batch: each

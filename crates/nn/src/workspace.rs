@@ -27,12 +27,14 @@
 //!   contract covers (the parallel arm spawns threads, which allocate
 //!   by nature).
 //! - `take` always returns a buffer of *exactly* the requested length,
-//!   zero-filled — callers never see stale data.
+//!   zero-filled, and [`Workspace::take_copy`] one filled with a copy of
+//!   its source — callers never see stale data.
 //!
 //! ## Determinism
 //!
-//! Pooling cannot change results: buffers are zeroed on `take`, so a
-//! recycled buffer is indistinguishable from a fresh `vec![0.0; len]`.
+//! Pooling cannot change results: buffers are zeroed on `take` (or
+//! fully overwritten on `take_copy`), so a recycled buffer is
+//! indistinguishable from a fresh `vec![0.0; len]` (or `src.to_vec()`).
 //! The determinism contract lives in the kernels (`tensor.rs`), not
 //! here.
 
@@ -74,6 +76,34 @@ impl Workspace {
         if len == 0 {
             return Vec::new();
         }
+        match self.take_best_fit(len) {
+            Some(mut b) => {
+                b.resize(len, 0.0);
+                b
+            }
+            None => vec![0.0; len], // alloc-ok: pool miss (cold)
+        }
+    }
+
+    /// A copy of `src` in pooled storage: the same best-fit choice and
+    /// hit/miss accounting as [`Workspace::take`], but the buffer is
+    /// filled by copying instead of zeroing and then overwriting.
+    pub fn take_copy(&mut self, src: &[f32]) -> Vec<f32> {
+        if src.is_empty() {
+            return Vec::new();
+        }
+        match self.take_best_fit(src.len()) {
+            Some(mut b) => {
+                b.extend_from_slice(src);
+                b
+            }
+            None => src.to_vec(), // alloc-ok: pool miss (cold)
+        }
+    }
+
+    /// Remove and return (empty) the pooled buffer with the smallest
+    /// capacity of at least `len`, counting the take as a hit or a miss.
+    fn take_best_fit(&mut self, len: usize) -> Option<Vec<f32>> {
         let mut best: Option<usize> = None;
         for (i, b) in self.bufs.iter().enumerate() {
             let cap = b.capacity();
@@ -81,19 +111,14 @@ impl Workspace {
                 best = Some(i);
             }
         }
-        match best {
-            Some(i) => {
-                self.stats.hits += 1;
-                let mut b = self.bufs.swap_remove(i);
-                b.clear();
-                b.resize(len, 0.0);
-                b
-            }
-            None => {
-                self.stats.misses += 1;
-                vec![0.0; len] // alloc-ok: pool miss (cold)
-            }
-        }
+        let Some(i) = best else {
+            self.stats.misses += 1;
+            return None;
+        };
+        self.stats.hits += 1;
+        let mut b = self.bufs.swap_remove(i);
+        b.clear();
+        Some(b)
     }
 
     /// Return a buffer's storage to the pool (contents are discarded).
@@ -112,6 +137,14 @@ impl Workspace {
         let mut sv = self.take_shape();
         sv.extend_from_slice(shape);
         Tensor::from_raw(sv, self.take(len))
+    }
+
+    /// A tensor with `src`'s shape and contents, both vectors drawn
+    /// from the pool (see [`Workspace::take_copy`]).
+    pub fn tensor_copy(&mut self, src: &Tensor) -> Tensor {
+        let mut sv = self.take_shape();
+        sv.extend_from_slice(src.shape());
+        Tensor::from_raw(sv, self.take_copy(src.data()))
     }
 
     /// Dismantle a tensor and pool its storage.
@@ -170,11 +203,9 @@ pub fn tensor(shape: &[usize]) -> Tensor {
     WS.with(|w| w.borrow_mut().tensor(shape))
 }
 
-/// A tensor with `src`'s shape and contents, backed by pooled storage.
+/// [`Workspace::tensor_copy`] on this thread's arena.
 pub fn tensor_copy_of(src: &Tensor) -> Tensor {
-    let mut t = tensor(src.shape());
-    t.data_mut().copy_from_slice(src.data());
-    t
+    WS.with(|w| w.borrow_mut().tensor_copy(src))
 }
 
 /// [`Workspace::recycle`] on this thread's arena.
@@ -324,6 +355,27 @@ mod tests {
         }
         assert_eq!(stats().misses, before.misses);
         assert_eq!(stats().hits, before.hits + 1);
+    }
+
+    #[test]
+    fn take_copy_keeps_best_fit_and_accounting() {
+        let mut ws = Workspace::new();
+        let big = ws.take(1000);
+        let mut small = ws.take(8);
+        small.iter_mut().for_each(|v| *v = 7.0);
+        ws.give(big);
+        ws.give(small);
+        let src = [1.0, -0.0, 3.0, f32::MIN_POSITIVE, 5.0];
+        let b = ws.take_copy(&src);
+        assert!(b.capacity() < 1000, "best fit picked cap {}", b.capacity());
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&b), bits(&src));
+        assert_eq!(ws.stats(), WorkspaceStats { hits: 1, misses: 2 });
+        let cold = ws.take_copy(&[0.5; 2000]);
+        assert_eq!(cold, vec![0.5; 2000]);
+        assert_eq!(ws.stats(), WorkspaceStats { hits: 1, misses: 3 });
+        assert!(ws.take_copy(&[]).is_empty());
+        assert_eq!(ws.stats().hits + ws.stats().misses, 4, "empty copies never touch the pool");
     }
 
     #[test]
