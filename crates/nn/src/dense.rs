@@ -1,6 +1,6 @@
 //! Fully connected layer.
 //!
-//! Forward runs on the shared [`matmul_abt`] blocked kernel; backward
+//! Forward runs on the shared [`matmul_packed`] blocked kernel; backward
 //! splits into a parameter pass (parallel over output units) and an
 //! input-gradient pass (parallel over samples), both preserving the
 //! sequential per-element accumulation order so results are bit-exact
@@ -10,7 +10,7 @@
 //! [`workspace`] arena, so a steady-state step never allocates here.
 
 use crate::param::Param;
-use crate::tensor::{axpy_unrolled, matmul_abt, Tensor};
+use crate::tensor::{axpy_unrolled, matmul_packed, transpose_into, OutLayout, Tensor};
 use crate::workspace::{self, ScratchBuf};
 use crate::Layer;
 use bf_stats::SeedRng;
@@ -56,11 +56,16 @@ impl Layer for Dense {
         let n = x.batch();
         let mut out = workspace::tensor(&[n, self.out_features]);
         let xdata = x.data();
+        let mut wt = ScratchBuf::of_len(self.in_features * self.out_features);
+        transpose_into(&self.weight.value, self.out_features, self.in_features, &mut wt);
+        let wt: &[f32] = &wt;
         // Sample rows are independent, so splitting the batch across
         // workers cannot change any output bit; the grain keeps small
         // batches on one thread and the per-row MAC estimate keeps tiny
-        // layers inline. Each row runs the same `m = 1` matmul the
-        // sequential path used, so accumulation order is unchanged.
+        // layers inline. Each row is one single-row matmul against the
+        // weights packed `(in, out)` once per call, accumulating bias
+        // first and then inputs in index order, as the sequential
+        // reference did.
         bf_par::par_chunks_mut_scratch_units(
             out.data_mut(),
             self.out_features,
@@ -69,14 +74,14 @@ impl Layer for Dense {
             || (),
             |i, row, ()| {
                 let xi = &xdata[i * self.in_features..(i + 1) * self.in_features];
-                matmul_abt(
+                matmul_packed(
+                    wt,
                     xi,
-                    &self.weight.value,
-                    1,
                     self.out_features,
+                    1,
                     self.in_features,
-                    None,
-                    Some(&self.bias.value),
+                    &self.bias.value,
+                    OutLayout::ColMajor,
                     row,
                 );
             },
